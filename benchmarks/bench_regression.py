@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Benchmark-regression driver: codec kernels, compressed ops, one e2e run.
+"""Benchmark-regression driver: codec kernels, evaluators, one e2e run.
 
-Times encode/decode for every codec, compressed-domain AND/OR, the
+Times encode/decode for every codec, the
 fused-vs-materializing expression evaluators, and one end-to-end
 figure regeneration, then writes ``BENCH_PR10.json`` at the repo root.
 Prior recorded numbers are merged in under prefixed names — ``seed:``
@@ -34,10 +34,8 @@ Gates that can fail the run (exit 1):
   entry says which mode applied);
 
 * the 1-of-16 threshold plan disagreeing with the expanded OR-chain
-  bit-for-bit, or failing to operate strictly fewer words than the
-  chain's pairwise fold on the compressed engine — one counting pass
-  over the N payloads is the point of the threshold algebra (counted
-  words, deterministic, so this gate runs in ``--quick`` mode too);
+  bit-for-bit on the query engine (deterministic, so this gate runs in
+  ``--quick`` mode too);
 * a ``reorder="lexicographic"`` build failing to come out strictly
   smaller than the unordered build for WAH/EWAH/BBC at any measured
   Zipf skew z >= 1, or any reordered query answer differing from the
@@ -46,10 +44,6 @@ Gates that can fail the run (exit 1):
   row-reordering pass (sizes and answers are deterministic, so this
   gate runs in ``--quick`` mode too; the ``reorder_skew_benefit``
   entry carries the full skew-vs-benefit curve per codec);
-* roaring's compressed-domain AND slower than WAH's at the measured
-  configuration — the speed of per-container dispatch over matching
-  chunks is the point of the roaring extension, so losing to a
-  word-aligned run-length codec is a regression;
 * fused block-at-a-time evaluation slower than the materializing
   evaluator on the large-tree workload, or the fused run allocating
   any full-length intermediate (``expr.intermediate_allocs`` with
@@ -103,10 +97,6 @@ from repro import obs
 from repro.bitmap import BitVector
 from repro.compress import get_codec
 from repro.expr import evaluate, evaluate_fused, leaf
-from repro.compress.bbc_ops import bbc_logical
-from repro.compress.compressed_ops import ewah_logical
-from repro.compress.roaring_ops import roaring_logical
-from repro.compress.wah_ops import wah_logical
 from repro.experiments import ExperimentConfig, run_experiment
 
 from benchmarks.bench_serving import check_gates as serving_gates
@@ -150,41 +140,19 @@ def run_benchmarks(
     results: dict[str, dict] = {}
     codec_params = {"n_bits": n_bits, "density": density}
     vec = make_vector(n_bits, density, 0)
-    vec2 = make_vector(n_bits, density, 1)
 
-    payloads = {}
     for name in ("wah", "ewah", "bbc", "roaring"):
         codec = get_codec(name)
-        payloads[name] = (codec.encode(vec), codec.encode(vec2))
         results[f"{name}_encode"] = {
             "median_s": timeit(lambda c=codec: c.encode(vec), iters),
             "iterations": iters,
             "params": codec_params,
         }
-        payload = payloads[name][0]
+        payload = codec.encode(vec)
         results[f"{name}_decode"] = {
             "median_s": timeit(
                 lambda c=codec, p=payload: c.decode(p, n_bits), iters
             ),
-            "iterations": iters,
-            "params": codec_params,
-        }
-
-    wah_a, wah_b = payloads["wah"]
-    ewah_a, ewah_b = payloads["ewah"]
-    bbc_a, bbc_b = payloads["bbc"]
-    roar_a, roar_b = payloads["roaring"]
-    op_benches = {
-        "wah_and": lambda: wah_logical("and", wah_a, wah_b),
-        "ewah_and": lambda: ewah_logical("and", ewah_a, ewah_b),
-        "ewah_or": lambda: ewah_logical("or", ewah_a, ewah_b),
-        "bbc_and": lambda: bbc_logical("and", bbc_a, bbc_b, n_bits),
-        "roaring_and": lambda: roaring_logical("and", roar_a, roar_b, n_bits),
-        "roaring_or": lambda: roaring_logical("or", roar_a, roar_b, n_bits),
-    }
-    for bench_name, fn in op_benches.items():
-        results[bench_name] = {
-            "median_s": timeit(fn, iters),
             "iterations": iters,
             "params": codec_params,
         }
@@ -224,10 +192,10 @@ def run_benchmarks(
     )
 
     # Threshold algebra: k-of-N as one counting pass vs the expanded
-    # OR-chain.  Counted words, deterministic at any size.
+    # OR-chain.  Deterministic at any size.
     results["threshold_vs_or_chain"] = run_threshold_bench(num_records)
 
-    # Row reordering: size and AND/OR throughput before/after the
+    # Row reordering: size and decode-then-AND/OR time before/after the
     # build-time sort, per codec, over the Zipf skew sweep (the
     # skew-vs-benefit curve).  Sizes and answers are deterministic, so
     # the shrink + bit-identical gate runs in --quick mode too.
@@ -254,16 +222,15 @@ def run_reorder_bench(
     cardinality: int = 64,
     skews: tuple[float, ...] = (0.0, 1.0, 2.0),
 ) -> dict:
-    """Index size and compressed AND/OR time, unordered vs reordered.
+    """Index size and decode-then-AND/OR time, unordered vs reordered.
 
     For every codec and Zipf skew the same column is indexed twice —
     arrival order and `reorder="lexicographic"` — and the entry records
-    both stored sizes, the shrink factor, median compressed-domain
-    AND/OR wall time over the two largest equality bitmaps, and whether
+    both stored sizes, the shrink factor, median decode-then-AND/OR
+    wall time over the two largest equality bitmaps, and whether
     a mixed query workload answered bit-identically after permutation
     mapping.  The skew axis is the Kaser/Lemire skew-vs-benefit curve.
     """
-    from repro.compress import CompressedBitmap
     from repro.index import BitmapIndex, IndexSpec
     from repro.queries import IntervalQuery, MembershipQuery
     from repro.workload import zipf_column
@@ -297,15 +264,15 @@ def run_reorder_bench(
                 # The two heaviest equality bitmaps: most frequent values.
                 counts = np.bincount(values, minlength=cardinality)
                 a, b = np.argsort(counts)[-2:]
-                left = CompressedBitmap(
-                    *index.store.get_payload((0, int(a))), codec
-                )
-                right = CompressedBitmap(
-                    *index.store.get_payload((0, int(b))), codec
-                )
+                left, right = (0, int(a)), (0, int(b))
+                get = index.store.get
                 return {
-                    "and_s": timeit(lambda: left & right, max(iters, 3)),
-                    "or_s": timeit(lambda: left | right, max(iters, 3)),
+                    "and_s": timeit(
+                        lambda: get(left) & get(right), max(iters, 3)
+                    ),
+                    "or_s": timeit(
+                        lambda: get(left) | get(right), max(iters, 3)
+                    ),
                 }
 
             curve.append(
@@ -465,20 +432,18 @@ def check_adaptive_gates(entry: dict) -> list[str]:
 
 
 def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
-    """1-of-N threshold vs the equivalent pairwise OR-chain, in words.
+    """1-of-N threshold vs the equivalent pairwise OR-chain.
 
-    Both plans evaluate the same N = 16 equality bitmaps on the
-    compressed engine.  The chain folds them through binary ORs, paying
-    for every materialized intermediate; the threshold plan streams all
-    N payloads through the bit-sliced counter once, so its
-    ``words_operated`` must be strictly lower and the answers must be
-    bit-identical.  Counted via :class:`~repro.storage.CostClock`, so
-    the gate is deterministic and runs in ``--quick`` mode too.
+    Both plans evaluate the same N = 16 equality bitmaps on the query
+    engine: the chain folds them through binary ORs, the threshold plan
+    counts all N once with the bit-sliced counter.  The answers must be
+    bit-identical; ``words_operated`` is recorded for each plan.  The
+    gate is deterministic and runs in ``--quick`` mode too.
     """
     from functools import reduce
 
     from repro.expr import EvalStats, Threshold
-    from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
+    from repro.index import BitmapIndex, IndexSpec
     from repro.queries import IntervalQuery
     from repro.storage import CostClock
     from repro.workload import zipf_column
@@ -493,7 +458,7 @@ def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
         for v in range(fanin)
     ]
     clock = CostClock()
-    engine = CompressedQueryEngine(index, clock=clock)
+    engine = index.engine(clock=clock)
 
     def run(expr):
         start = clock.words_operated
@@ -512,7 +477,6 @@ def run_threshold_bench(num_records: int, fanin: int = 16) -> dict:
         },
         "or_chain_words_operated": chain_words,
         "threshold_words_operated": threshold_words,
-        "words_saved_pct": (1.0 - threshold_words / chain_words) * 100.0,
         "bit_identical": bool(chain_bitmap == threshold_bitmap),
     }
 
@@ -723,21 +687,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"threshold 1-of-{threshold['params']['fanin']} vs OR-chain: "
         f"{threshold['threshold_words_operated']} vs "
-        f"{threshold['or_chain_words_operated']} words operated "
-        f"({threshold['words_saved_pct']:.1f}% fewer)"
+        f"{threshold['or_chain_words_operated']} words operated"
     )
     if not threshold["bit_identical"]:
         print(
             "FAIL: threshold plan and expanded OR-chain disagree bit-for-bit",
-            file=sys.stderr,
-        )
-        return 1
-    if threshold["threshold_words_operated"] >= threshold["or_chain_words_operated"]:
-        print(
-            f"FAIL: threshold plan operated "
-            f"{threshold['threshold_words_operated']} words, not strictly "
-            f"fewer than the OR-chain's "
-            f"{threshold['or_chain_words_operated']}",
             file=sys.stderr,
         )
         return 1
@@ -753,17 +707,6 @@ def main(argv: list[str] | None = None) -> int:
     for failure in reorder_failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if reorder_failures:
-        return 1
-
-    roaring_and = results["roaring_and"]["median_s"]
-    wah_and = results["wah_and"]["median_s"]
-    print(f"roaring AND vs wah AND: {wah_and / roaring_and:.1f}x faster")
-    if roaring_and > wah_and:
-        print(
-            f"FAIL: roaring AND ({roaring_and:.6f}s) is slower than "
-            f"wah AND ({wah_and:.6f}s)",
-            file=sys.stderr,
-        )
         return 1
 
     fused = results["fused_eval"]

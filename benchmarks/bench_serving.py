@@ -78,7 +78,6 @@ def pages_per_query(
     queries: list,
     wave: int,
     buffer_pages: int,
-    engine: str,
 ) -> tuple[float, int]:
     """Counted pages/query executing ``queries`` in waves of ``wave``."""
     config = ServiceConfig(
@@ -86,7 +85,6 @@ def pages_per_query(
         max_batch=max(1, wave),
         buffer_pages=buffer_pages,
         cache_entries=0,  # isolate batching from caching
-        engine=engine,
     )
     service = QueryService(index, config)
     try:
@@ -105,7 +103,6 @@ def run_serving_bench(
     buffer_pages: int = 16,
     scheme: str = "E",
     codec: str = "raw",
-    engine: str = "decoded",
     seed: int = 0,
 ) -> dict:
     """The full serving comparison; returns a JSON-ready result dict."""
@@ -120,14 +117,13 @@ def run_serving_bench(
         "buffer_pages": buffer_pages,
         "scheme": scheme,
         "codec": codec,
-        "engine": engine,
     }
 
     serial_ppq, serial_pages = pages_per_query(
-        index, queries, 1, buffer_pages, engine
+        index, queries, 1, buffer_pages
     )
     batched_ppq, batched_pages = pages_per_query(
-        index, queries, concurrency, buffer_pages, engine
+        index, queries, concurrency, buffer_pages
     )
 
     # Result cache: a repeated mix is free until an append invalidates.
@@ -136,7 +132,6 @@ def run_serving_bench(
         max_batch=concurrency,
         buffer_pages=buffer_pages,
         cache_entries=num_queries + 1,
-        engine=engine,
     )
     service = QueryService(index, config)
     try:
@@ -157,7 +152,6 @@ def run_serving_bench(
         max_queue=max(64, concurrency * 4),
         buffer_pages=buffer_pages,
         cache_entries=0,
-        engine=engine,
     )
     service = QueryService(index, config)
     try:
@@ -314,8 +308,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--buffer-pages", type=int, default=16)
     parser.add_argument("--scheme", default="E")
     parser.add_argument("--codec", default="raw")
-    parser.add_argument("--engine", default="decoded",
-                        choices=("decoded", "compressed"))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--no-sharded",
@@ -338,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         buffer_pages=args.buffer_pages,
         scheme=args.scheme,
         codec=args.codec,
-        engine=args.engine,
         seed=args.seed,
     )
     print(

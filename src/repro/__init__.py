@@ -29,7 +29,7 @@ from repro.encoding import (
     space_cost,
 )
 from repro.dictionary import AttributeIndex
-from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec, load_index, recommend, save_index, validate_index
+from repro.index import BitmapIndex, IndexSpec, load_index, recommend, save_index, validate_index
 from repro.serve import QueryService, ServiceConfig
 from repro.table import ColumnConfig, Table
 from repro.queries import (
@@ -56,7 +56,6 @@ __all__ = [
     "save_index",
     "load_index",
     "validate_index",
-    "CompressedQueryEngine",
     "QueryService",
     "ServiceConfig",
     "Table",

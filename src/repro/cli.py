@@ -149,8 +149,7 @@ def _parse_query(args: argparse.Namespace, cardinality: int):
 def _cmd_query(args: argparse.Namespace) -> int:
     index = load_index(args.index, mapped=args.mapped)
     query = _parse_query(args, index.cardinality)
-    fused = {"auto": "auto", "on": True, "off": False}[args.fused]
-    result = index.query(query, fused=fused)
+    result = index.query(query)
     print(f"query:         {query}")
     print(f"matching rows: {result.row_count}")
     print(f"bitmap scans:  {result.stats.scans}")
@@ -244,7 +243,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 max_queue=args.max_queue,
                 buffer_pages=args.buffer_pages,
                 cache_entries=cache_entries,
-                engine=args.engine,
             ),
         )
 
@@ -307,7 +305,6 @@ def _serve_bench_sharded(args, values, spec, queries) -> int:
         max_queue=args.max_queue,
         buffer_pages=args.buffer_pages,
         cache_entries=0 if args.no_cache else len(queries) + 1,
-        engine=args.engine,
     )
     print(
         f"sharded:  {args.shards} shards ({args.transport} transport), "
@@ -492,13 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve payloads from read-only mmap views instead of heap "
         "copies (v2 index directories; see docs/zero_copy.md)",
     )
-    p.add_argument(
-        "--fused",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="physical evaluation: fused block-at-a-time kernels, "
-        "materializing, or per-constituent planning (default)",
-    )
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("append", help="append a batch to a saved index", parents=[traceable])
@@ -564,13 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=ALL_SCHEME_NAMES, default="E")
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--codec", default="raw")
-    p.add_argument(
-        "--engine",
-        choices=("decoded", "compressed"),
-        default="decoded",
-        help="evaluate on decoded bitmaps via the buffer pool, or in the "
-        "compressed domain",
-    )
     p.add_argument("--concurrency", type=int, default=8,
                    help="closed-loop clients / shared-scan wave size")
     p.add_argument("--workers", type=int, default=2,

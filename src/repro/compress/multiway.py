@@ -1,33 +1,20 @@
-"""N-way merges and threshold (k-of-N) kernels over encoded bitmaps.
+"""Threshold (k-of-N) counting over bitmap blocks.
 
-Pairwise compressed-domain operations evaluate a wide OR/AND as a
-left-fold, re-touching every intermediate result N-2 times; Kaser &
-Lemire ("Compressed bitmap indexes: beyond unions and intersections")
-show that streaming the N inputs *simultaneously* answers the same
-query — and the more general symmetric threshold function "at least k
-of N" — in one pass that never materializes an intermediate.
-
-This module is that one pass, built on the block cursors of
-:mod:`repro.compress.streams`: the N inputs advance in lockstep through
-word windows (a k-way merge at block granularity — raw/WAH/EWAH/BBC
-streams rematerialize only the runs overlapping the window, roaring
-streams gather only the containers overlapping it, so the merge sees
-runs/containers, never whole vectors), and each window is either
-
-* reduced with the operator (:func:`multiway_logical`), or
-* counted with a word-parallel **bit-sliced counter**
-  (:class:`ThresholdCounter`): ``ceil(log2(N+1))`` word slices hold,
-  per bit position, the binary count of inputs that have that bit set;
-  each input is ripple-carry added in O(width) bulk ops and the final
-  ``count >= k`` compare is a bitwise magnitude comparison against the
-  constant ``k`` (:func:`multiway_threshold`, :func:`threshold_vectors`).
+Kaser & Lemire ("Compressed bitmap indexes: beyond unions and
+intersections") answer the symmetric threshold function "at least k of
+N" in one pass over the N inputs instead of a fold of pairwise ops.
+This module is that pass's counting kernel, a word-parallel
+**bit-sliced counter** (:class:`ThresholdCounter`):
+``ceil(log2(N+1))`` word slices hold, per bit position, the binary
+count of inputs that have that bit set; each input is ripple-carry
+added in O(width) bulk ops and the final ``count >= k`` compare is a
+bitwise magnitude comparison against the constant ``k``.
 
 Total work is ``O(N * words * log N)`` bulk word operations with
-``O(log N)`` block-sized scratch — independent of how many
-intermediates a fold would have allocated.  The cost model charges a
-multi-way op by the compressed bytes actually streamed (the sum of the
-input payload sizes), which is why it beats the fold's accounting for
-N >= 3: the fold also re-charges every intermediate.
+``O(log N)`` block-sized scratch.  Both evaluators use it: the fused
+evaluator counts each block of a ``Threshold`` node's children
+directly, and the materializing evaluator goes through
+:func:`threshold_vectors`.
 """
 
 from __future__ import annotations
@@ -38,21 +25,14 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.bitmap import BitVector
-from repro.compress.streams import BlockStream, VectorStream, open_stream
 from repro.errors import BitmapError
 
-#: Words per lockstep window (16 KiB — matches the fused evaluator's
-#: default so threshold plans and multiway merges share cache behaviour).
+#: Words per counting window (16 KiB — matches the fused evaluator's
+#: default so both evaluators share cache behaviour).
 DEFAULT_BLOCK_WORDS = 2048
 
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-_REDUCERS = {
-    "and": np.bitwise_and,
-    "or": np.bitwise_or,
-    "xor": np.bitwise_xor,
-}
 
 
 def counter_width(n: int) -> int:
@@ -125,125 +105,44 @@ class ThresholdCounter:
         np.bitwise_or(gt[:n], eq[:n], out=gt[:n])
 
 
-def _check_streams(streams: Sequence[BlockStream], length: int) -> None:
-    if not streams:
-        raise BitmapError("multiway operation needs at least one input")
-    for stream in streams:
-        if stream.length != length:
-            raise BitmapError(
-                f"multiway input has length {stream.length}, "
-                f"expected {length}"
-            )
-
-
-def _mask_tail(words: np.ndarray, length: int) -> None:
-    tail = length % 64
-    if tail and len(words):
-        words[-1] &= (_ONE << np.uint64(tail)) - _ONE
-
-
-def threshold_streams(
-    k: int,
-    streams: Sequence[BlockStream],
-    length: int,
-    block_words: int = DEFAULT_BLOCK_WORDS,
-) -> np.ndarray:
-    """Decoded words of "at least ``k`` of ``streams``", one lockstep pass.
-
-    ``k <= 0`` yields all ones, ``k > len(streams)`` all zeros; padding
-    bits beyond ``length`` are masked off.  Emits the
-    ``expr.threshold.*`` counters when observability is installed.
-    """
-    _check_streams(streams, length)
-    num_words = (length + 63) // 64
-    out = np.empty(num_words, dtype=np.uint64)
-    n = len(streams)
-    o = _obs.active()
-    if o is not None:
-        o.count("expr.threshold.evals", 1)
-        o.count("expr.threshold.children", n)
-    if k <= 0:
-        out[:] = _FULL
-        _mask_tail(out, length)
-        return out
-    if k > n:
-        out[:] = 0
-        return out
-    block_words = max(1, int(block_words))
-    counter = ThresholdCounter(n, min(block_words, max(1, num_words)))
-    for lo in range(0, num_words, block_words):
-        hi = min(lo + block_words, num_words)
-        counter.reset(hi - lo)
-        for stream in streams:
-            counter.add(stream.block(lo, hi))
-        counter.compare_ge(k, out[lo:hi])
-    _mask_tail(out, length)
-    return out
-
-
 def threshold_vectors(k: int, vectors: Sequence[BitVector]) -> BitVector:
     """"At least ``k`` of ``vectors``" over decoded bit vectors.
 
-    The vectors are wrapped in zero-copy streams and counted blockwise,
-    so the only full-length allocation is the answer — the materializing
-    evaluator's Threshold node goes through here.
+    The vectors are counted :data:`DEFAULT_BLOCK_WORDS` words at a
+    time, so the only full-length allocation is the answer.  ``k <= 0``
+    yields all ones, ``k > len(vectors)`` all zeros; padding bits beyond
+    the length are masked off.  Emits the ``expr.threshold.*`` counters
+    when observability is installed.
     """
     if not vectors:
         raise BitmapError("threshold needs at least one input vector")
     length = len(vectors[0])
-    streams = [VectorStream(v) for v in vectors]
-    return BitVector(length, threshold_streams(k, streams, length))
-
-
-def multiway_threshold(
-    k: int,
-    codec_name: str,
-    payloads: Sequence,
-    length: int,
-    block_words: int = DEFAULT_BLOCK_WORDS,
-) -> BitVector:
-    """"At least ``k`` of ``payloads``" streamed straight off the codec.
-
-    Each payload decodes incrementally through its
-    :class:`~repro.compress.streams.BlockStream` (runs for WAH/EWAH/BBC,
-    containers for roaring), so N encoded bitmaps are combined without
-    decoding any of them whole.
-    """
-    streams = [open_stream(codec_name, p, length) for p in payloads]
-    return BitVector(
-        length, threshold_streams(k, streams, length, block_words)
-    )
-
-
-def multiway_logical(
-    op: str,
-    codec_name: str,
-    payloads: Sequence,
-    length: int,
-    block_words: int = DEFAULT_BLOCK_WORDS,
-) -> BitVector:
-    """N-way ``and``/``or``/``xor`` over encoded payloads in one pass.
-
-    Equivalent to the left-fold of pairwise compressed-domain ops but
-    with zero intermediate payloads: every input block is combined into
-    the output accumulator the moment it is decoded.
-    """
-    if op not in _REDUCERS:
-        raise BitmapError(
-            f"unknown multiway operator {op!r}; expected one of "
-            f"{sorted(_REDUCERS)}"
-        )
-    reducer = _REDUCERS[op]
-    streams = [open_stream(codec_name, p, length) for p in payloads]
-    _check_streams(streams, length)
-    num_words = (length + 63) // 64
-    out = np.empty(num_words, dtype=np.uint64)
-    block_words = max(1, int(block_words))
-    for lo in range(0, num_words, block_words):
-        hi = min(lo + block_words, num_words)
-        acc = out[lo:hi]
-        acc[:] = streams[0].block(lo, hi)
-        for stream in streams[1:]:
-            reducer(acc, stream.block(lo, hi), out=acc)
-    _mask_tail(out, length)
-    return BitVector(length, out)
+    for vector in vectors:
+        if len(vector) != length:
+            raise BitmapError(
+                f"threshold input has length {len(vector)}, expected {length}"
+            )
+    n = len(vectors)
+    o = _obs.active()
+    if o is not None:
+        o.count("expr.threshold.evals", 1)
+        o.count("expr.threshold.children", n)
+    out = BitVector(length)
+    if k > n:
+        return out
+    words = out.words
+    if k <= 0:
+        words[:] = _FULL
+    else:
+        block_words = DEFAULT_BLOCK_WORDS
+        counter = ThresholdCounter(n, min(block_words, max(1, len(words))))
+        for lo in range(0, len(words), block_words):
+            hi = min(lo + block_words, len(words))
+            counter.reset(hi - lo)
+            for vector in vectors:
+                counter.add(vector.words[lo:hi])
+            counter.compare_ge(k, words[lo:hi])
+    tail = length % 64
+    if tail and len(words):
+        words[-1] &= (_ONE << np.uint64(tail)) - _ONE
+    return out

@@ -1,11 +1,11 @@
 """Block-at-a-time decode streams over encoded bitmap payloads.
 
-The fused expression evaluator (:mod:`repro.expr.fused`) walks a query
-tree in word blocks small enough to stay in L1/L2, so no expression
-intermediate is ever a full-vector allocation.  For that it needs leaf
-decode to be *incremental*: given an encoded payload, produce any word
-window ``[start, stop)`` of the decoded vector without materializing
-the rest.
+A block stream decodes *incrementally*: given an encoded payload, it
+produces any word window ``[start, stop)`` of the decoded vector
+without materializing the rest, so :meth:`Codec.decode_blockwise
+<repro.compress.base.Codec.decode_blockwise>` keeps its decode scratch
+block-sized.  The fused expression evaluator (:mod:`repro.expr.fused`)
+walks decoded leaves through the same interface (:class:`VectorStream`).
 
 Each codec gets a :class:`BlockStream`:
 
@@ -277,9 +277,9 @@ def register_stream(codec_name: str, factory) -> None:
 
     ``factory`` is called as ``factory(payload, length)`` and must
     return a :class:`BlockStream`; a class or a plain function both
-    work.  Everything block-oriented (fused evaluation, multiway
-    thresholds, blockwise decode) dispatches through
-    :func:`open_stream`, so registration is all a new codec needs.
+    work.  Blockwise decode (:meth:`Codec.decode_blockwise`) dispatches
+    through :func:`open_stream`, so registration is all a new codec
+    needs.
     """
     if not codec_name:
         raise CodecError("block streams need a codec name")
@@ -303,9 +303,8 @@ def decode_blockwise(
 ) -> BitVector:
     """Materialize a full vector through its block stream.
 
-    Used by the compressed engine's final answer decode: identical
-    output to ``codec.decode`` but the decode scratch stays block-sized
-    (the output array is the answer, not an intermediate).
+    Identical output to ``codec.decode`` but the decode scratch stays
+    block-sized (the output array is the answer, not an intermediate).
     """
     stream = open_stream(codec_name, payload, length)
     words = np.empty(stream.num_words, dtype=np.uint64)

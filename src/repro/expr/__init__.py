@@ -21,11 +21,7 @@ from repro.expr.evaluator import (
     expression_operation_count,
     expression_scan_count,
 )
-from repro.expr.fused import (
-    DEFAULT_BLOCK_WORDS,
-    evaluate_fused,
-    evaluate_fused_streams,
-)
+from repro.expr.fused import DEFAULT_BLOCK_WORDS, evaluate_fused
 from repro.expr.nodes import (
     And,
     Const,
@@ -82,7 +78,6 @@ __all__ = [
     "simplify",
     "evaluate",
     "evaluate_fused",
-    "evaluate_fused_streams",
     "DEFAULT_BLOCK_WORDS",
     "EvalStats",
     "expression_scan_count",

@@ -13,10 +13,8 @@ intermediate stays in L1/L2:
   load, a complement over an operator node becomes an in-place
   ``bitwise_not`` on that node's block — no NOT intermediate exists at
   any granularity;
-* leaves are :class:`~repro.compress.streams.BlockStream` objects, so
-  encoded payloads decode per block through the codec kernels
-  (:func:`evaluate_fused_streams`) or decoded vectors are sliced
-  zero-copy (:func:`evaluate_fused`).
+* leaves are :class:`~repro.compress.streams.VectorStream` objects,
+  zero-copy block slices of the decoded leaf vectors.
 
 Accounting is *identical* to the materializing evaluator by
 construction: ``stats.scans``/``fetched_keys`` follow the same
@@ -44,7 +42,6 @@ from repro import obs as _obs
 from repro.bitmap import BitVector
 from repro.compress.multiway import ThresholdCounter
 from repro.compress.streams import BlockStream, VectorStream
-from repro.errors import BitmapError
 from repro.expr.evaluator import (
     EvalStats,
     FetchFn,
@@ -67,9 +64,6 @@ _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 _OPS = {And: np.bitwise_and, Or: np.bitwise_or, Xor: np.bitwise_xor}
-
-StreamFn = Callable[[Hashable], BlockStream]
-
 
 def clamp_block_words(block_words: int) -> int:
     """Clamp a requested block size into the supported 4–64 KiB band."""
@@ -271,49 +265,5 @@ def evaluate_fused(
 
     counters = [0, 0, 0]
     plan = _compile(expr, open_leaf, False, counters)
-    stats.operations += expression_operation_count(expr)
-    return _run(plan, length, block_words, counters)
-
-
-def evaluate_fused_streams(
-    expr: Expr,
-    open_leaf: StreamFn,
-    length: int,
-    stats: EvalStats | None = None,
-    stream_cache: dict[Hashable, BlockStream] | None = None,
-    block_words: int = DEFAULT_BLOCK_WORDS,
-) -> BitVector:
-    """Fused evaluation with leaves decoded per block from payloads.
-
-    ``open_leaf`` maps a leaf key to a
-    :class:`~repro.compress.streams.BlockStream` (usually
-    :func:`repro.compress.streams.open_stream` over a stored payload),
-    so no leaf is ever decoded whole — encoded runs stream through the
-    codec kernels one block at a time.  Scan accounting matches the
-    materializing evaluator: each distinct key is opened once per
-    ``stream_cache`` and counted as one scan.
-    """
-    if stats is None:
-        stats = EvalStats()
-    if stream_cache is None:
-        stream_cache = {}
-    block_words = clamp_block_words(block_words)
-
-    def cached_open(key: Hashable) -> BlockStream:
-        stream = stream_cache.get(key)
-        if stream is None:
-            stream = open_leaf(key)
-            if stream.length != length:
-                raise BitmapError(
-                    f"bitmap {key!r} has length {stream.length}, "
-                    f"expected {length}"
-                )
-            stream_cache[key] = stream
-            stats.scans += 1
-            stats.fetched_keys.append(key)
-        return stream
-
-    counters = [0, 0, 0]
-    plan = _compile(expr, cached_open, False, counters)
     stats.operations += expression_operation_count(expr)
     return _run(plan, length, block_words, counters)

@@ -26,10 +26,9 @@ Helpers:
 
 Evaluation lives with the other node types: the materializing
 evaluator counts via :func:`repro.compress.multiway.threshold_vectors`,
-the fused evaluator keeps a per-plan
+and the fused evaluator keeps a per-plan
 :class:`~repro.compress.multiway.ThresholdCounter` and counts block by
-block, and the compressed engine streams payloads through
-:func:`repro.compress.multiway.multiway_threshold`.  A threshold over
+block.  A threshold over
 ``n`` children charges ``n`` bulk operations to the cost model
 (``n`` counter additions; the compare is folded into the last), keeping
 :func:`repro.expr.evaluator.expression_operation_count` exact across

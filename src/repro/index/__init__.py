@@ -8,7 +8,6 @@ evaluation phase over a buffer pool.
 """
 
 from repro.index.advisor import Recommendation, recommend
-from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.costbased import CostBasedRewriter
 from repro.index.bitmap_index import BitmapIndex, IndexSpec, UpdateReport
 from repro.index.costmodel import (
@@ -46,7 +45,6 @@ __all__ = [
     "load_index",
     "validate_index",
     "IndexValidationReport",
-    "CompressedQueryEngine",
     "SegmentedBitmapIndex",
     "CostBasedRewriter",
     "index_expected_scans",

@@ -261,10 +261,9 @@ class BitmapIndex:
         """Translate an answer from stored (sorted) to original row order.
 
         The single place the build-time permutation re-enters query
-        evaluation: both engines call it on their *final* answer, so
-        everything upstream — compressed-domain ops, fused evaluation,
-        thresholds, shared-scan batching — runs untouched in sorted
-        space.  A no-op (the same object) for unreordered indexes.
+        evaluation: the engine calls it on its *final* answer, so
+        everything upstream — decode, fused evaluation, thresholds,
+        shared-scan batching — runs untouched in sorted space.  A no-op (the same object) for unreordered indexes.
         """
         if self.reordering is None or self.reordering.is_identity:
             return bitmap
@@ -294,8 +293,8 @@ class BitmapIndex:
 
         ``buffer_pages`` defaults to a pool comfortably larger than the
         index (the paper notes 11 MB was adequate for its runs).
-        Additional keyword arguments (``fused``, ``block_words``) pass
-        through to :class:`~repro.index.evaluation.QueryEngine`.
+        Additional keyword arguments (``block_words``) pass through to
+        :class:`~repro.index.evaluation.QueryEngine`.
         """
         return QueryEngine(
             self,
@@ -310,8 +309,8 @@ class BitmapIndex:
     ) -> EvaluationResult:
         """One-shot convenience evaluation with a fresh default engine.
 
-        Keyword arguments (``strategy``, ``fused``, ``block_words``,
-        ...) configure the throwaway engine.
+        Keyword arguments (``strategy``, ``block_words``, ...)
+        configure the throwaway engine.
         """
         return self.engine(**engine_kwargs).execute(query)
 

@@ -39,6 +39,7 @@ from repro.expr import (
     DEFAULT_BLOCK_WORDS,
     EvalStats,
     Expr,
+    Leaf,
     evaluate,
     evaluate_fused,
     plan_physical,
@@ -47,7 +48,6 @@ from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.storage import BufferPool, BufferStats, CostClock
 
 STRATEGIES = ("component-wise", "query-wise", "scheduled")
-FUSED_MODES = (True, False, "auto")
 
 
 def query_class_of(
@@ -76,6 +76,11 @@ class EvaluationResult:
     def row_ids(self):
         """Sorted record ids of qualifying records."""
         return self.bitmap.to_indices()
+
+
+def _is_bare_leaf(constituents: list[Expr]) -> bool:
+    """True when the answer is a single fetched leaf vector, unchanged."""
+    return len(constituents) == 1 and isinstance(constituents[0], Leaf)
 
 
 def schedule_constituents(constituents: list[Expr]) -> list[Expr]:
@@ -127,20 +132,14 @@ class QueryEngine:
         buffer_pages: int | None = None,
         clock: CostClock | None = None,
         strategy: str = "component-wise",
-        fused: bool | str = "auto",
         block_words: int = DEFAULT_BLOCK_WORDS,
     ):
         if strategy not in STRATEGIES:
             raise QueryError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if fused not in FUSED_MODES:
-            raise QueryError(
-                f"unknown fused mode {fused!r}; expected one of {FUSED_MODES}"
-            )
         self.index = index
         self.strategy = strategy
-        self.fused = fused
         self.block_words = int(block_words)
         self.clock = clock if clock is not None else CostClock()
         if buffer_pages is None:
@@ -180,7 +179,6 @@ class QueryEngine:
             scheme=scheme,
             strategy=self.strategy,
             klass=klass,
-            engine="decoded",
         ):
             result = self._rewrite_and_execute(query)
         o.observe("query.simulated_ms", result.simulated_ms,
@@ -216,11 +214,11 @@ class QueryEngine:
         else:
             answer = self._query_wise(constituents, length, stats)
 
-        # A bare-leaf answer can be the pool-resident vector itself,
-        # which may view read-only (store/mmap) memory — callers own
-        # their results, so hand out a writable copy instead.  Pure
+        # A bare-leaf answer is the pool-resident vector itself, which
+        # may also view read-only (store/mmap) memory — callers own
+        # their results, so hand out a private copy instead.  Pure
         # allocation traffic: no scans or operations to charge.
-        if not answer.words.flags.writeable:
+        if _is_bare_leaf(constituents):
             answer = answer.copy()
 
         # Charge CPU for the bulk word operations and the final ORs.
@@ -259,7 +257,7 @@ class QueryEngine:
         self.clock.charge_word_ops(stats.operations - before, words)
         if len(results) == 1:
             answer = results[0]
-            if not answer.words.flags.writeable:
+            if _is_bare_leaf(constituents):
                 answer = answer.copy()  # same ownership rule as execute()
         else:
             answer = or_all(results)
@@ -276,26 +274,20 @@ class QueryEngine:
     ) -> BitVector:
         """Evaluate one constituent, fused or materializing.
 
-        Both physical plans fetch leaves through :attr:`pool` in the
-        same depth-first first-touch order against the same ``cache``
-        and charge identical scans/operations, so the choice is
-        invisible to the cost model — only wall-clock and allocation
-        traffic differ.
+        :func:`~repro.expr.planner.plan_physical` picks the plan.  Both
+        plans fetch leaves through :attr:`pool` in the same depth-first
+        first-touch order against the same ``cache`` and charge
+        identical scans/operations, so the choice is invisible to the
+        cost model — only wall-clock and allocation traffic differ.
         """
-        if self.fused is True:
+        if plan_physical(expr, length, self.block_words) == "fused":
             return evaluate_fused(
                 expr, self.pool.fetch, length, stats, cache,
                 block_words=self.block_words,
             )
-        if self.fused == "auto":
-            if plan_physical(expr, length, self.block_words) == "fused":
-                return evaluate_fused(
-                    expr, self.pool.fetch, length, stats, cache,
-                    block_words=self.block_words,
-                )
-            o = _obs.active()
-            if o is not None:
-                o.count("expr.fused.materialize_fallbacks", 1)
+        o = _obs.active()
+        if o is not None:
+            o.count("expr.fused.materialize_fallbacks", 1)
         return evaluate(expr, self.pool.fetch, length, stats, cache)
 
     def _component_wise(

@@ -288,9 +288,8 @@ class QueryRewriter:
         so "in any of them" is exactly "at least one of them":
         ``Threshold(1, constituents)`` — a single multi-way counting
         pass over the union of the constituents' bitmaps, with no
-        pairwise OR intermediates.  This is the hybrid-encoding path
-        the compressed engine and the fused evaluator collapse into one
-        scan of each input.
+        pairwise OR intermediates.  The fused evaluator collapses it
+        into one scan of each input.
         """
         constituents = self.rewrite_membership(query)
         if len(constituents) == 1:
@@ -307,8 +306,7 @@ class QueryRewriter:
         Each predicate rewrites through the ordinary pipeline into its
         combined expression; the k-of-N count then sits directly above
         them as a single :class:`~repro.expr.threshold.Threshold` node —
-        one constituent, evaluated as one multi-way counting pass by
-        every engine.
+        one constituent, evaluated as one multi-way counting pass.
         """
         if query.cardinality != self.cardinality:
             raise QueryError(

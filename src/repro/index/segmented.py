@@ -176,8 +176,8 @@ class SegmentedBitmapIndex:
     def query(self, query: Query, **engine_kwargs) -> EvaluationResult:
         """Evaluate over every segment and concatenate the answers.
 
-        Keyword arguments (``strategy``, ``fused``, ``block_words``,
-        ...) configure each segment's throwaway engine.
+        Keyword arguments (``strategy``, ``block_words``, ...)
+        configure each segment's throwaway engine.
         """
         if isinstance(query, (IntervalQuery, MembershipQuery)):
             if query.cardinality != self.cardinality:

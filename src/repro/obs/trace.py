@@ -11,10 +11,15 @@ so a figure-level span shows the total I/O of every query under it.
 The tracer keeps only the most recent ``max_roots`` completed root
 spans (default 1000) so long experiment sweeps cannot grow memory
 without bound.
+
+Each thread has its own span stack, so spans opened concurrently by
+serving threads nest only under spans of the same thread; the retained
+roots are shared and appended under a lock.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 
@@ -85,58 +90,73 @@ class _SpanContext:
 
 
 class Tracer:
-    """Owns the span stack and the retained span trees."""
+    """Owns the per-thread span stacks and the retained span trees."""
 
     def __init__(self, max_roots: int = 1000):
-        self._stack: list[Span] = []
+        self._local = threading.local()
         self._roots: deque[Span] = deque(maxlen=max_roots)
+        self._roots_lock = threading.Lock()
         self.dropped_roots = 0
+
+    @property
+    def _stack(self) -> list[Span]:
+        """The calling thread's stack of open spans."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     def span(self, name: str, /, **tags: object) -> _SpanContext:
         """Open a span; use as ``with tracer.span("query", scheme="E"):``."""
         span = Span(name, tags)
-        if self._stack:
-            self._stack[-1].children.append(span)
+        stack = self._stack
+        if stack:
+            stack[-1].children.append(span)
         else:
-            if len(self._roots) == self._roots.maxlen:
-                self.dropped_roots += 1
-            self._roots.append(span)
-        self._stack.append(span)
+            with self._roots_lock:
+                if len(self._roots) == self._roots.maxlen:
+                    self.dropped_roots += 1
+                self._roots.append(span)
+        stack.append(span)
         return _SpanContext(self, span)
 
     def _pop(self, span: Span) -> None:
         span.close()
         # Close any forgotten inner spans too (defensive: an exception
         # raised between sibling spans must not corrupt the stack).
-        while self._stack:
-            top = self._stack.pop()
+        stack = self._stack
+        while stack:
+            top = stack.pop()
             top.close()
             if top is span:
                 break
 
     @property
     def current(self) -> Span | None:
-        """The innermost open span, or None outside any span."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, or None."""
+        stack = getattr(self._local, "stack", None)
+        return stack[-1] if stack else None
 
     def attribute(self, name: str, amount: float) -> None:
         """Add a charge to the innermost open span (no-op outside one)."""
-        if self._stack:
-            self._stack[-1].attribute(name, amount)
+        stack = getattr(self._local, "stack", None)
+        if stack:
+            stack[-1].attribute(name, amount)
 
     def roots(self) -> list[Span]:
         """Completed (and still-open) root spans, oldest first."""
-        return list(self._roots)
+        with self._roots_lock:
+            return list(self._roots)
 
     def last(self, name: str | None = None) -> Span | None:
         """Most recent root span, optionally filtered by name."""
-        for span in reversed(self._roots):
+        for span in reversed(self.roots()):
             if name is None or span.name == name:
                 return span
         return None
 
     def to_dict(self) -> dict:
-        out: dict = {"spans": [span.to_dict() for span in self._roots]}
+        out: dict = {"spans": [span.to_dict() for span in self.roots()]}
         if self.dropped_roots:
             out["dropped_roots"] = self.dropped_roots
         return out

@@ -43,7 +43,6 @@ from repro.serve.driver import (
     run_open_loop,
 )
 from repro.serve.service import (
-    ENGINES,
     QueryService,
     ServeResult,
     ServiceConfig,
@@ -67,7 +66,6 @@ __all__ = [
     "ServiceStats",
     "ServeResult",
     "Ticket",
-    "ENGINES",
     "ShardedQueryService",
     "ShardedConfig",
     "ShardedResult",

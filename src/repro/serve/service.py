@@ -52,7 +52,6 @@ from repro.errors import (
     ServiceClosed,
 )
 from repro.expr import EvalStats, Expr
-from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.evaluation import QueryEngine
 from repro.queries.model import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.serve.batcher import plan_batches
@@ -60,9 +59,6 @@ from repro.serve.cache import ResultCache
 from repro.storage import CostClock
 
 Query = IntervalQuery | MembershipQuery | ThresholdQuery
-
-#: Evaluation engines the service can run on.
-ENGINES = ("decoded", "compressed")
 
 
 @dataclass(frozen=True)
@@ -84,13 +80,6 @@ class ServiceConfig:
     cache_entries: int = 256
     #: Buffer-pool capacity; None uses the engine's default sizing.
     buffer_pages: int | None = None
-    #: ``"decoded"`` (BufferPool + BitVector ops) or ``"compressed"``
-    #: (payload pool + compressed-domain ops).
-    engine: str = "decoded"
-    #: Physical evaluation mode for the decoded engine: ``"auto"``
-    #: (planner decides per constituent), ``True`` (always fused) or
-    #: ``False`` (always materializing).  See ``docs/zero_copy.md``.
-    fused: bool | str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
@@ -99,10 +88,6 @@ class ServiceConfig:
             raise ServeError(f"workers must be >= 1, got {self.workers}")
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.engine not in ENGINES:
-            raise ServeError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
 
 
 @dataclass
@@ -232,19 +217,9 @@ class QueryService:
         self.index = index
         self.config = config if config is not None else ServiceConfig()
         self.clock = clock if clock is not None else CostClock()
-        if self.config.engine == "compressed":
-            self.engine = CompressedQueryEngine(
-                index,
-                buffer_pages=self.config.buffer_pages,
-                clock=self.clock,
-            )
-        else:
-            self.engine = QueryEngine(
-                index,
-                buffer_pages=self.config.buffer_pages,
-                clock=self.clock,
-                fused=self.config.fused,
-            )
+        self.engine = QueryEngine(
+            index, buffer_pages=self.config.buffer_pages, clock=self.clock
+        )
         self.cache = ResultCache(self.config.cache_entries)
         self.stats = ServiceStats()
         self._queue: deque[_Request] = deque()
@@ -327,18 +302,7 @@ class QueryService:
         epoch = self.index.epoch
         cached = self.cache.get(epoch, request.expression, record_miss=False)
         if cached is not None:
-            self._finish(
-                request,
-                ServeResult(
-                    bitmap=cached,
-                    stats=EvalStats(),
-                    simulated_ms=0.0,
-                    epoch=epoch,
-                    cached=True,
-                    batch_size=0,
-                ),
-            )
-            self._emit_count("serve.cache.hits")
+            self._finish_cached(request, cached, epoch)
             return Ticket(request)
 
         with self._not_empty:
@@ -469,18 +433,7 @@ class QueryService:
                     continue
                 cached = self.cache.get(epoch, request.expression)
                 if cached is not None:
-                    self._finish(
-                        request,
-                        ServeResult(
-                            bitmap=cached,
-                            stats=EvalStats(),
-                            simulated_ms=0.0,
-                            epoch=epoch,
-                            cached=True,
-                            batch_size=0,
-                        ),
-                    )
-                    self._emit_count("serve.cache.hits")
+                    self._finish_cached(request, cached, epoch)
                     continue
                 pending.append(request)
             if not pending:
@@ -521,7 +474,10 @@ class QueryService:
                     self._fail(request, exc, "cancelled")
                     continue
                 stats.scans = len(request.keys)
-                self.cache.put(epoch, request.expression, bitmap)
+                if self.cache.capacity:
+                    # The cache keeps its own copy: callers own their
+                    # results and may mutate them in place.
+                    self.cache.put(epoch, request.expression, bitmap.copy())
                 self._finish(
                     request,
                     ServeResult(
@@ -544,6 +500,23 @@ class QueryService:
         self._emit_count("serve.completed")
         self._emit_observe("serve.latency_ms", result.wall_ms)
         self._emit_observe("serve.simulated_ms", result.simulated_ms)
+
+    def _finish_cached(
+        self, request: _Request, cached: BitVector, epoch: int
+    ) -> None:
+        """Complete ``request`` from the result cache, with a private copy."""
+        self._finish(
+            request,
+            ServeResult(
+                bitmap=cached.copy(),
+                stats=EvalStats(),
+                simulated_ms=0.0,
+                epoch=epoch,
+                cached=True,
+                batch_size=0,
+            ),
+        )
+        self._emit_count("serve.cache.hits")
 
     def _fail(self, request: _Request, error: Exception, counter: str) -> None:
         request.error = error

@@ -30,7 +30,6 @@ from repro.encoding import get_scheme
 from repro.errors import QueryError
 from repro.expr import EvalStats, Expr
 from repro.index.bitmap_index import IndexSpec
-from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.evaluation import QueryEngine
 from repro.index.rewrite import QueryRewriter
 from repro.index.segmented import SegmentedBitmapIndex
@@ -78,8 +77,6 @@ class ShardEngine:
         self,
         values,
         spec: IndexSpec,
-        engine: str = "decoded",
-        fused: bool | str = "auto",
         cache_entries: int = 256,
         buffer_pages: int | None = None,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -87,8 +84,6 @@ class ShardEngine:
         index: SegmentedBitmapIndex | None = None,
     ):
         self.spec = spec
-        self.engine_kind = engine
-        self.fused = fused
         self.buffer_pages = buffer_pages
         self.max_batch = max_batch
         if index is not None:
@@ -248,20 +243,11 @@ class ShardEngine:
         segments = self.index.segments()
         while len(self._engines) < len(segments):
             segment = segments[len(self._engines)]
-            if self.engine_kind == "compressed":
-                engine = CompressedQueryEngine(
-                    segment,
-                    buffer_pages=self.buffer_pages,
-                    clock=self.clock,
+            self._engines.append(
+                QueryEngine(
+                    segment, buffer_pages=self.buffer_pages, clock=self.clock
                 )
-            else:
-                engine = QueryEngine(
-                    segment,
-                    buffer_pages=self.buffer_pages,
-                    clock=self.clock,
-                    fused=self.fused,
-                )
-            self._engines.append(engine)
+            )
         return self._engines
 
     def _shared_scan(

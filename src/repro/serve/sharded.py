@@ -110,10 +110,6 @@ class ShardedConfig:
     cache_entries: int = 256
     #: Per-segment buffer-pool capacity; None = engine default sizing.
     buffer_pages: int | None = None
-    #: ``"decoded"`` or ``"compressed"`` per-shard evaluation engine.
-    engine: str = "decoded"
-    #: Physical evaluation mode for decoded engines (see ServiceConfig).
-    fused: bool | str = "auto"
     #: Rows per segment inside each shard.
     segment_size: int = DEFAULT_SEGMENT_SIZE
     #: Default per-request timeout (None = no deadline).
@@ -520,8 +516,6 @@ class ShardedQueryService:
     def _engine_options(self) -> dict:
         config = self.config
         return {
-            "engine": config.engine,
-            "fused": config.fused,
             "cache_entries": config.cache_entries,
             "buffer_pages": config.buffer_pages,
             "segment_size": config.segment_size,

@@ -237,8 +237,8 @@ class BitmapStore:
     def get_payload(self, key: Hashable) -> tuple[bytes, int]:
         """The stored (encoded payload, bit length) without decoding.
 
-        Used by compressed-domain evaluation, which operates on encoded
-        payloads directly.
+        Used by persistence, which writes the encoded payloads to disk
+        as they are.
         """
         return self._payload(key), self._lengths[key]
 

@@ -25,8 +25,8 @@ This module provides that pass:
   sorted prefix as identity entries (:meth:`RowReordering.extend`), so
   tail-append paths (segments, shards) keep working unchanged.
 
-Everything between build and result mapping — compressed-domain ops,
-fused evaluation, thresholds, serving — operates purely in sorted
+Everything between build and result mapping — decode, fused
+evaluation, thresholds, serving — operates purely in sorted
 space and needs no knowledge of the permutation.
 """
 

@@ -1,17 +1,12 @@
-"""Tests for :mod:`repro.compress.multiway` — N-way merges and counters.
+"""Tests for :mod:`repro.compress.multiway` — the k-of-N counters.
 
-Equivalence: the one-pass N-way OR/AND/XOR must be bit-identical to
-the left-fold of pairwise compressed-domain ops for every codec, and
-the threshold kernel to the naive per-row count.  Accounting: on the
-compressed engine, the multi-way plan must charge *strictly fewer*
-``words_operated`` than the pairwise fold for N >= 3 (the fold
-re-charges every intermediate it materializes; the merge streams each
-input once).  Plus the bit-sliced counter in isolation, the degenerate
-``k`` bounds, the error paths, and the ``expr.threshold.*`` obs
-counters.
+The threshold kernel must match the naive per-row count, over decoded
+vectors and over vectors decoded from every codec.  Plus the
+bit-sliced counter in isolation, the degenerate ``k`` bounds, the
+error paths, and the ``expr.threshold.*`` obs counters.
 """
 
-from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,34 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.compress.compressed_ops import CompressedBitmap
+from repro.compress import get_codec, multiway
 from repro.compress.multiway import (
     DEFAULT_BLOCK_WORDS,
     ThresholdCounter,
     counter_width,
-    multiway_logical,
-    multiway_threshold,
-    threshold_streams,
     threshold_vectors,
 )
-from repro.compress.streams import VectorStream
 from repro.errors import BitmapError
-from repro.expr import EvalStats, Threshold
-from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
-from repro.queries import IntervalQuery
-from repro.storage import CostClock
-from repro.workload import zipf_column
 
-COMPRESSED_CODECS = ("bbc", "wah", "ewah", "roaring")
+CODECS = ("bbc", "wah", "ewah", "roaring")
 
 lengths = st.sampled_from([1, 63, 64, 65, 1000, 2**16 - 1, 2**16 + 1])
 densities = st.sampled_from([0.0, 0.05, 0.5, 1.0])
-
-NUMPY_OPS = {
-    "and": np.logical_and,
-    "or": np.logical_or,
-    "xor": np.logical_xor,
-}
 
 
 def random_vectors(n, length, density, seed):
@@ -54,48 +34,6 @@ def random_vectors(n, length, density, seed):
     return [
         BitVector.from_bools(rng.random(length) < density) for _ in range(n)
     ]
-
-
-class TestMultiwayLogical:
-    @pytest.mark.parametrize("codec", COMPRESSED_CODECS)
-    @pytest.mark.parametrize("op", ["and", "or", "xor"])
-    @given(
-        n=st.integers(min_value=1, max_value=9),
-        length=lengths,
-        density=densities,
-        seed=st.integers(min_value=0, max_value=2**20),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_matches_pairwise_compressed_fold(
-        self, codec, op, n, length, density, seed
-    ):
-        """One-pass N-way == left-fold of pairwise compressed ops."""
-        vectors = random_vectors(n, length, density, seed)
-        encoded = [CompressedBitmap.from_vector(v, codec) for v in vectors]
-        merged = multiway_logical(
-            op, codec, [e.payload for e in encoded], length, block_words=16
-        )
-        pairwise_op = {
-            "and": lambda a, b: a & b,
-            "or": lambda a, b: a | b,
-            "xor": lambda a, b: a ^ b,
-        }[op]
-        folded = reduce(pairwise_op, encoded).decode()
-        assert merged == folded, (codec, op, n)
-        oracle = reduce(
-            NUMPY_OPS[op], [v.to_bools() for v in vectors]
-        )
-        assert merged.to_bools().tolist() == oracle.tolist()
-
-    def test_unknown_operator_rejected(self):
-        vec = BitVector.from_bools(np.array([True, False]))
-        payload = CompressedBitmap.from_vector(vec, "wah").payload
-        with pytest.raises(BitmapError, match="unknown multiway operator"):
-            multiway_logical("nand", "wah", [payload], 2)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(BitmapError, match="at least one input"):
-            multiway_logical("or", "wah", [], 10)
 
 
 class TestThresholdKernels:
@@ -134,25 +72,30 @@ class TestThresholdKernels:
             threshold_vectors(1, [])
 
     def test_stream_length_mismatch_rejected(self):
-        streams = [
-            VectorStream(BitVector.zeros(64)),
-            VectorStream(BitVector.zeros(128)),
-        ]
+        vectors = [BitVector.zeros(64), BitVector.zeros(128)]
         with pytest.raises(BitmapError, match="length"):
-            threshold_streams(1, streams, 64)
+            threshold_vectors(1, vectors)
 
-    @pytest.mark.parametrize("codec", COMPRESSED_CODECS)
+    @pytest.mark.parametrize("codec", CODECS)
     def test_multiway_threshold_roundtrip(self, codec):
+        """k-of-N over vectors streamed block-at-a-time off ``codec``."""
         vectors = random_vectors(5, 1000, 0.3, 11)
-        payloads = [
-            CompressedBitmap.from_vector(v, codec).payload for v in vectors
+        encoder = get_codec(codec)
+        decoded = [
+            encoder.decode_blockwise(encoder.encode(v), 1000, block_words=4)
+            for v in vectors
         ]
         counts = np.zeros(1000, dtype=np.int64)
         for vector in vectors:
             counts += vector.to_bools()
-        for k in (1, 3, 5):
-            result = multiway_threshold(k, codec, payloads, 1000)
-            assert result.to_bools().tolist() == (counts >= k).tolist()
+        # 3-word counting windows: the 16-word vectors cross 5 edges.
+        with mock.patch.object(multiway, "DEFAULT_BLOCK_WORDS", 3):
+            for k in (1, 3, 5):
+                result = threshold_vectors(k, decoded)
+                assert result.to_bools().tolist() == (counts >= k).tolist()
+
+    def test_default_block_words_is_power_of_two(self):
+        assert DEFAULT_BLOCK_WORDS & (DEFAULT_BLOCK_WORDS - 1) == 0
 
     def test_emits_obs_counters(self):
         vectors = random_vectors(4, 256, 0.5, 7)
@@ -212,69 +155,3 @@ class TestThresholdCounter:
             counter.add(full)
             counter.compare_ge(2, out)
             assert (out == full).all()
-
-
-class TestEngineAccounting:
-    """Multi-way plans vs pairwise folds on the compressed engine."""
-
-    FANIN = 6
-
-    @pytest.fixture(scope="class")
-    def engine_parts(self):
-        # Range-encoded prefix bitmaps (A <= v): dense, overlapping, so
-        # a fold's intermediates stay large and its re-charging shows.
-        cardinality = self.FANIN + 2
-        values = zipf_column(4000, cardinality, 1.0, seed=5)
-        index = BitmapIndex.build(
-            values,
-            IndexSpec(cardinality=cardinality, scheme="R", codec="wah"),
-        )
-        leaves = [
-            index.rewriter.rewrite_interval(
-                IntervalQuery(0, v, cardinality)
-            )
-            for v in range(1, self.FANIN + 1)
-        ]
-        return index, leaves
-
-    def run(self, index, expr):
-        clock = CostClock()
-        engine = CompressedQueryEngine(index, clock=clock)
-        bitmap = engine.evaluate_shared([expr], {}, EvalStats())
-        return bitmap, clock.words_operated
-
-    @pytest.mark.parametrize("n", [3, 4, 6])
-    @pytest.mark.parametrize("op", ["|", "&"])
-    def test_nary_strictly_cheaper_than_pairwise_fold(
-        self, engine_parts, n, op
-    ):
-        index, leaves = engine_parts
-        children = leaves[:n]
-        fold = {"|": lambda a, b: a | b, "&": lambda a, b: a & b}[op]
-        chain = reduce(fold, children)  # nested binary nodes
-        nary = type(fold(children[0], children[1]))(tuple(children))
-        chain_bitmap, chain_words = self.run(index, chain)
-        nary_bitmap, nary_words = self.run(index, nary)
-        assert nary_bitmap == chain_bitmap, (op, n)
-        assert nary_words < chain_words, (op, n)
-
-    def test_pairwise_and_nary_words_equal_for_two(self, engine_parts):
-        index, leaves = engine_parts
-        from repro.expr.nodes import Or
-
-        _, chain_words = self.run(index, leaves[0] | leaves[1])
-        _, nary_words = self.run(index, Or(tuple(leaves[:2])))
-        assert nary_words == chain_words
-
-    def test_threshold_one_strictly_cheaper_than_or_fold(self, engine_parts):
-        index, leaves = engine_parts
-        chain = reduce(lambda a, b: a | b, leaves)
-        chain_bitmap, chain_words = self.run(index, chain)
-        threshold_bitmap, threshold_words = self.run(
-            index, Threshold(1, tuple(leaves))
-        )
-        assert threshold_bitmap == chain_bitmap
-        assert threshold_words < chain_words
-
-    def test_default_block_words_is_power_of_two(self):
-        assert DEFAULT_BLOCK_WORDS & (DEFAULT_BLOCK_WORDS - 1) == 0

@@ -1,11 +1,9 @@
 """A codec registered at runtime flows through every dispatch layer.
 
-The adaptive PR replaced the last codec-name conditionals with registry
-lookups: :func:`register_codec` + :func:`register_compressed_ops` +
-:func:`register_stream` must be *all* a new codec needs for stats
-tables, :class:`CompressedBitmap`, the compressed query engine, the
-multiway kernels and the fused block streams to pick it up.  A fake
-codec (trivial raw clone under a new name) proves it end to end.
+:func:`register_codec` + :func:`register_stream` must be *all* a new
+codec needs for stats tables, blockwise decode and the query engine to
+pick it up.  A fake codec (trivial raw clone under a new name) proves
+it end to end.
 """
 
 import numpy as np
@@ -13,23 +11,15 @@ import pytest
 
 from repro.bitmap import BitVector
 from repro.compress import (
-    COMPRESSED_DOMAIN_CODECS,
-    CompressedBitmap,
     Codec,
     available_codecs,
     get_codec,
     measure_all_codecs,
     open_stream,
-    raw_count,
-    raw_logical,
-    raw_not,
     register_codec,
-    register_compressed_ops,
     register_stream,
 )
 from repro.compress.base import _REGISTRY
-from repro.compress.compressed_ops import COUNT_OPS, LOGICAL_OPS, NOT_OPS
-from repro.compress.multiway import multiway_threshold
 from repro.compress.streams import _STREAMS, RawStream
 from repro.errors import CodecError
 
@@ -49,16 +39,11 @@ class FakeCodec(Codec):
 @pytest.fixture
 def fake_codec():
     codec = register_codec(FakeCodec())
-    register_compressed_ops("fake64", raw_logical, raw_not, raw_count)
     register_stream("fake64", RawStream)
     try:
         yield codec
     finally:
         del _REGISTRY["fake64"]
-        del LOGICAL_OPS["fake64"]
-        del NOT_OPS["fake64"]
-        del COUNT_OPS["fake64"]
-        COMPRESSED_DOMAIN_CODECS.discard("fake64")
         del _STREAMS["fake64"]
 
 
@@ -72,45 +57,28 @@ def test_measure_all_codecs_includes_registered_codec(fake_codec, rng):
     assert stats["fake64"].encoded_bytes == stats["raw"].encoded_bytes
 
 
-def test_compressed_bitmap_dispatches_registered_codec(fake_codec, rng):
-    vec_a = BitVector.from_bools(rng.random(300) < 0.2)
-    vec_b = BitVector.from_bools(rng.random(300) < 0.6)
-    a = CompressedBitmap.from_vector(vec_a, "fake64")
-    b = CompressedBitmap.from_vector(vec_b, "fake64")
-    assert (a & b).decode() == (vec_a & vec_b)
-    assert (~a).decode() == ~vec_a
-    assert a.count() == vec_a.count()
-
-
-def test_open_stream_and_multiway_dispatch_registered_codec(fake_codec, rng):
+def test_open_stream_and_blockwise_decode_dispatch_registered_codec(
+    fake_codec, rng
+):
     length = 5000
-    vectors = [
-        BitVector.from_bools(rng.random(length) < d) for d in (0.1, 0.5, 0.9)
-    ]
-    payloads = [fake_codec.encode(v) for v in vectors]
-    stream = open_stream("fake64", payloads[0], length)
-    assert BitVector(length, stream.block(0, stream.num_words).copy()) == vectors[0]
-    got = multiway_threshold(2, "fake64", payloads, length)
-    raw = get_codec("raw")
-    want = multiway_threshold(
-        2, "raw", [raw.encode(v) for v in vectors], length
-    )
-    assert got == want
+    vector = BitVector.from_bools(rng.random(length) < 0.5)
+    payload = fake_codec.encode(vector)
+    stream = open_stream("fake64", payload, length)
+    assert BitVector(length, stream.block(0, stream.num_words).copy()) == vector
+    assert fake_codec.decode_blockwise(payload, length, block_words=7) == vector
 
 
-def test_compressed_engine_accepts_registered_codec(fake_codec, rng):
+def test_query_engine_accepts_registered_codec(fake_codec, rng):
     from repro.index import BitmapIndex, IndexSpec
-    from repro.index.compressed_engine import CompressedQueryEngine
     from repro.queries import IntervalQuery
 
     values = rng.integers(0, 12, size=400)
     index = BitmapIndex.build(
         values, IndexSpec(cardinality=12, scheme="E", codec="fake64")
     )
-    engine = CompressedQueryEngine(index)
     query = IntervalQuery(2, 9, 12)
     want = np.flatnonzero((values >= 2) & (values <= 9))
-    got = engine.execute(query).bitmap.to_indices()
+    got = index.engine().execute(query).bitmap.to_indices()
     assert np.array_equal(got, want)
 
 
@@ -119,4 +87,3 @@ def test_unregistered_name_still_rejected():
         get_codec("fake64")
     with pytest.raises(CodecError):
         open_stream("fake64", b"", 0)
-    assert "fake64" not in COMPRESSED_DOMAIN_CODECS

@@ -5,14 +5,13 @@ import pytest
 
 from repro import obs
 from repro.bitmap import BitVector
-from repro.compress import get_codec, open_stream
+from repro.compress import get_codec
 from repro.errors import BitmapError
 from repro.expr import (
     DEFAULT_BLOCK_WORDS,
     EvalStats,
     evaluate,
     evaluate_fused,
-    evaluate_fused_streams,
     leaf,
     one,
     plan_physical,
@@ -131,18 +130,20 @@ class TestAccounting:
 class TestStreams:
     @pytest.mark.parametrize("codec", ["raw", "bbc", "wah", "ewah", "roaring"])
     def test_encoded_leaves_stream(self, codec):
-        payloads = {
-            key: get_codec(codec).encode(vec) for key, vec in BITMAPS.items()
-        }
+        """Leaves decoded through each codec's block stream, then fused."""
+        encoder = get_codec(codec)
+        payloads = {key: encoder.encode(vec) for key, vec in BITMAPS.items()}
 
-        def open_leaf(key):
-            return open_stream(codec, payloads[key], LENGTH)
+        def fetch(key):
+            return encoder.decode_blockwise(
+                payloads[key], LENGTH, MIN_BLOCK_WORDS
+            )
 
         expr = (~leaf("a") | leaf("b")) & ~(leaf("c") ^ leaf("d"))
         reference = evaluate(expr, BITMAPS.get, LENGTH)
         stats = EvalStats()
-        result = evaluate_fused_streams(
-            expr, open_leaf, LENGTH, stats, block_words=MIN_BLOCK_WORDS
+        result = evaluate_fused(
+            expr, fetch, LENGTH, stats, block_words=MIN_BLOCK_WORDS
         )
         assert result == reference
         assert stats.scans == 4
@@ -150,11 +151,11 @@ class TestStreams:
     def test_stream_length_mismatch_detected(self):
         payload = get_codec("ewah").encode(BITMAPS["a"])
 
-        def open_leaf(key):
-            return open_stream("ewah", payload, LENGTH)
+        def fetch(key):
+            return get_codec("ewah").decode_blockwise(payload, LENGTH)
 
         with pytest.raises(BitmapError):
-            evaluate_fused_streams(leaf("a"), open_leaf, LENGTH - 1)
+            evaluate_fused(leaf("a"), fetch, LENGTH - 1)
 
 
 class TestPlanner:

@@ -5,16 +5,16 @@ expression trees:
 
 * the **naive** oracle — numpy boolean arrays, no blocks, no codecs;
 * the **materializing** evaluator (:func:`repro.expr.evaluate`);
-* the **fused** block-at-a-time evaluator, both over decoded vectors
-  (:func:`~repro.expr.evaluate_fused`) and over encoded payloads
-  streamed through every codec's block kernel
-  (:func:`~repro.expr.evaluate_fused_streams`).
+* the **fused** block-at-a-time evaluator
+  (:func:`~repro.expr.evaluate_fused`), both over plain vectors and
+  over leaves decoded through every codec's block stream.
 
 Lengths deliberately straddle the fusion boundaries: the block size in
 bits ± one word (first/last block edge cases), 2^16 ± 1 (roaring
 container edges), and word/byte/31-bit-group edges inherited from the
 codec suite.  The index-level test additionally drives every encoding
-scheme's rewrite output through both engine modes.
+scheme's rewrite output through both evaluators, and the engine
+against the naive scan.
 """
 
 import numpy as np
@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap import BitVector
-from repro.compress import get_codec, open_stream
-from repro.expr import Threshold, evaluate, evaluate_fused, evaluate_fused_streams
+from repro.compress import get_codec
+from repro.expr import EvalStats, Threshold, evaluate, evaluate_fused
 from repro.expr.fused import MIN_BLOCK_WORDS
 from repro.expr.nodes import And, Const, Leaf, Not, Or, Xor, leaf, one, zero
 from repro.index import BitmapIndex, IndexSpec
@@ -95,6 +95,15 @@ def random_bitmaps(length: int, density: float, seed: int):
     }
 
 
+def streamed_fetch(codec: str, bitmaps: dict, length: int):
+    """A leaf fetcher decoding each bitmap through ``codec``'s stream."""
+    encoder = get_codec(codec)
+    payloads = {key: encoder.encode(vec) for key, vec in bitmaps.items()}
+    return lambda key: encoder.decode_blockwise(
+        payloads[key], length, MIN_BLOCK_WORDS
+    )
+
+
 def naive(expr, bitmaps, length) -> np.ndarray:
     """Reference semantics on plain boolean arrays."""
     if isinstance(expr, Leaf):
@@ -146,13 +155,10 @@ def test_fused_matches_materializing_and_naive(expr, length, density, seed):
 @settings(max_examples=25, deadline=None)
 def test_streamed_leaves_match_all_codecs(codec, expr, length, density, seed):
     bitmaps = random_bitmaps(length, density, seed)
-    payloads = {
-        key: get_codec(codec).encode(vec) for key, vec in bitmaps.items()
-    }
     reference = evaluate(expr, bitmaps.get, length)
-    fused = evaluate_fused_streams(
+    fused = evaluate_fused(
         expr,
-        lambda key: open_stream(codec, payloads[key], length),
+        streamed_fetch(codec, bitmaps, length),
         length,
         block_words=MIN_BLOCK_WORDS,
     )
@@ -193,13 +199,10 @@ def test_fused_threshold_with_negated_children(expr, length, density, seed):
 @settings(max_examples=15, deadline=None)
 def test_streamed_threshold_negated_children(codec, expr, length, density, seed):
     bitmaps = random_bitmaps(length, density, seed)
-    payloads = {
-        key: get_codec(codec).encode(vec) for key, vec in bitmaps.items()
-    }
     reference = evaluate(expr, bitmaps.get, length)
-    fused = evaluate_fused_streams(
+    fused = evaluate_fused(
         expr,
-        lambda key: open_stream(codec, payloads[key], length),
+        streamed_fetch(codec, bitmaps, length),
         length,
         block_words=MIN_BLOCK_WORDS,
     )
@@ -215,20 +218,24 @@ INDEX_CARDINALITY = 12
 def scheme_indexes():
     rng = np.random.default_rng(7)
     values = rng.integers(0, INDEX_CARDINALITY, INDEX_RECORDS)
-    return {
+    indexes = {
         scheme: BitmapIndex.build(
             values,
             IndexSpec(cardinality=INDEX_CARDINALITY, scheme=scheme),
         )
         for scheme in SCHEME_NAMES
     }
+    return values, indexes
 
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_engine_modes_agree_per_scheme(scheme_indexes, scheme, data):
-    index = scheme_indexes[scheme]
+    """Each rewritten constituent: fused ≡ materializing, same accounting;
+    the engine's answer ≡ the naive scan."""
+    values, indexes = scheme_indexes
+    index = indexes[scheme]
     lo = data.draw(st.integers(0, INDEX_CARDINALITY - 1), label="lo")
     hi = data.draw(st.integers(lo, INDEX_CARDINALITY - 1), label="hi")
     members = data.draw(
@@ -241,13 +248,21 @@ def test_engine_modes_agree_per_scheme(scheme_indexes, scheme, data):
         IntervalQuery(lo, hi, INDEX_CARDINALITY),
         MembershipQuery(members, INDEX_CARDINALITY),
     ):
-        materialized = index.query(query, fused=False)
-        forced = index.query(query, fused=True, block_words=MIN_BLOCK_WORDS)
-        auto = index.query(query, block_words=MIN_BLOCK_WORDS)
-        assert forced.bitmap == materialized.bitmap
-        assert auto.bitmap == materialized.bitmap
-        assert forced.stats.scans == materialized.stats.scans
-        assert forced.stats.operations == materialized.stats.operations
-        assert forced.simulated_ms == pytest.approx(
-            materialized.simulated_ms, abs=1e-12
-        )
+        if isinstance(query, IntervalQuery):
+            constituents = [index.rewriter.rewrite_interval(query)]
+        else:
+            constituents = index.rewriter.rewrite_membership(query)
+        for expr in constituents:
+            materialized_stats, fused_stats = EvalStats(), EvalStats()
+            materialized = evaluate(
+                expr, index.store.get, INDEX_RECORDS, materialized_stats
+            )
+            fused = evaluate_fused(
+                expr, index.store.get, INDEX_RECORDS, fused_stats,
+                block_words=MIN_BLOCK_WORDS,
+            )
+            assert fused == materialized
+            assert fused_stats.scans == materialized_stats.scans
+            assert fused_stats.operations == materialized_stats.operations
+        result = index.query(query, block_words=MIN_BLOCK_WORDS)
+        assert result.bitmap == BitVector.from_bools(query.matches(values))

@@ -3,7 +3,8 @@
 Three independent answers must agree bit-for-bit:
 
 * ``Threshold(k, ...)`` through the real evaluators — materializing,
-  compressed-domain multiway kernel per codec, and the index engines;
+  fused, the counting kernel over every codec's decoded bitmaps, and
+  the index engine;
 * the **naive count scan** — numpy integer counts per row, no bitmaps;
 * the **OR/AND-chain expansion** — ``k = 1`` as a pairwise OR fold,
   ``k = N`` as a pairwise AND fold, and general ``k`` (small N) as the
@@ -20,14 +21,15 @@ children that contain NOT nodes.
 
 from functools import reduce
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitmap import BitVector
-from repro.compress import get_codec
-from repro.compress.multiway import multiway_threshold, threshold_vectors
+from repro.compress import get_codec, multiway
+from repro.compress.multiway import threshold_vectors
 from repro.encoding import ALL_SCHEME_NAMES
 from repro.errors import BitmapError, QueryError
 from repro.expr import (
@@ -43,13 +45,13 @@ from repro.expr import (
 )
 from repro.expr.fused import MIN_BLOCK_WORDS
 from repro.expr.nodes import And, Const, Leaf, Not, Or, leaf, one, zero
-from repro.index import BitmapIndex, CompressedQueryEngine, IndexSpec
+from repro.index import BitmapIndex, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
 
 CODEC_NAMES = ("raw", "bbc", "wah", "ewah", "roaring")
-COMPRESSED_CODECS = ("bbc", "wah", "ewah", "roaring")
+NON_RAW_CODECS = ("bbc", "wah", "ewah", "roaring")
 
-#: Counting-block edges (the multiway kernel runs at ``block_words``
+#: Counting-block edges (the counting kernel runs at ``block_words``
 #: words per window; 32 words = 2048 bits here), roaring container
 #: edges, and word edges.
 TEST_BLOCK_WORDS = 32
@@ -97,7 +99,7 @@ def chain_expansion(k: int, children):
 class TestKernelDifferential:
     """threshold kernels == naive count scan, every codec x boundary."""
 
-    @pytest.mark.parametrize("codec", COMPRESSED_CODECS)
+    @pytest.mark.parametrize("codec", NON_RAW_CODECS)
     @given(
         n=st.integers(min_value=1, max_value=32),
         length=lengths,
@@ -109,11 +111,18 @@ class TestKernelDifferential:
         self, codec, n, length, density, seed
     ):
         vectors = random_vectors(n, length, density, seed)
-        payloads = [get_codec(codec).encode(v) for v in vectors]
-        for k in interesting_ks(n):
-            result = multiway_threshold(
-                k, codec, payloads, length, block_words=TEST_BLOCK_WORDS
+        encoder = get_codec(codec)
+        decoded = [
+            encoder.decode_blockwise(
+                encoder.encode(v), length, TEST_BLOCK_WORDS
             )
+            for v in vectors
+        ]
+        for k in interesting_ks(n):
+            with mock.patch.object(
+                multiway, "DEFAULT_BLOCK_WORDS", TEST_BLOCK_WORDS
+            ):
+                result = threshold_vectors(k, decoded)
             oracle = naive_count_scan(k, vectors)
             assert result.to_bools().tolist() == oracle.tolist(), (codec, k)
 
@@ -226,22 +235,25 @@ def draw_threshold_query(data) -> ThresholdQuery:
 def test_threshold_queries_all_schemes_and_codecs(
     matrix_indexes, scheme, codec, data
 ):
-    """ThresholdQuery through every engine == the naive count scan."""
+    """ThresholdQuery through both evaluators and the engine == the
+    naive count scan."""
     values, indexes = matrix_indexes
     index = indexes[scheme, codec]
     query = draw_threshold_query(data)
     oracle = query.matches(values)
     expected = BitVector.from_bools(oracle)
 
-    materialized = index.query(query, fused=False)
-    fused = index.query(query, fused=True, block_words=MIN_BLOCK_WORDS)
-    assert materialized.bitmap == expected, (scheme, codec, str(query))
-    assert fused.bitmap == expected, (scheme, codec, str(query))
-    assert materialized.row_count == int(oracle.sum())
+    expr = index.rewriter.rewrite_threshold(query)
+    materialized = evaluate(expr, index.store.get, INDEX_RECORDS)
+    fused = evaluate_fused(
+        expr, index.store.get, INDEX_RECORDS, block_words=MIN_BLOCK_WORDS
+    )
+    assert materialized == expected, (scheme, codec, str(query))
+    assert fused == expected, (scheme, codec, str(query))
 
-    if codec != "raw":
-        compressed = CompressedQueryEngine(index).execute(query)
-        assert compressed.bitmap == expected, (scheme, codec, str(query))
+    result = index.query(query)
+    assert result.bitmap == expected, (scheme, codec, str(query))
+    assert result.row_count == int(oracle.sum())
 
 
 class TestHelpers:

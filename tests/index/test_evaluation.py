@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
+from repro.expr import EvalStats
 from repro.index import BitmapIndex, IndexSpec
 from repro.queries import IntervalQuery, MembershipQuery
 from repro.storage import CostClock
@@ -102,21 +103,31 @@ class TestAnswerOwnership:
     """Query answers belong to the caller: never a read-only view of
     pool/store memory, even when a constituent is a bare leaf."""
 
-    def _single_leaf_query(self, engine_kwargs):
+    def _single_leaf_query(self, codec):
         values = np.arange(120) % 4
-        idx = BitmapIndex.build(values, IndexSpec(cardinality=4, scheme="E"))
+        idx = BitmapIndex.build(
+            values, IndexSpec(cardinality=4, scheme="E", codec=codec)
+        )
         # Equality on an E-encoded index is a bare-leaf expression.
-        result = idx.query(IntervalQuery(2, 2, 4), **engine_kwargs)
+        result = idx.query(IntervalQuery(2, 2, 4))
         return idx, result
 
-    @pytest.mark.parametrize("fused", [False, True, "auto"])
-    def test_answer_is_writable(self, fused):
-        idx, result = self._single_leaf_query({"fused": fused})
+    @pytest.mark.parametrize("codec", ["raw", "bbc"])
+    def test_answer_is_writable(self, codec):
+        idx, result = self._single_leaf_query(codec)
         assert result.bitmap.words.flags.writeable
         result.bitmap.words[0] = 0  # must not raise
 
     def test_mutating_answer_leaves_index_intact(self):
-        idx, result = self._single_leaf_query({})
-        before = result.row_count
-        result.bitmap.words[:] = 0
-        assert idx.query(IntervalQuery(2, 2, 4)).row_count == before
+        """Neither execute nor evaluate_shared hands out the pool's copy
+        (a heap-decoded BBC leaf is writable, so only a copy protects it)."""
+        query = IntervalQuery(2, 2, 4)
+        for codec in ("raw", "bbc"):
+            idx, result = self._single_leaf_query(codec)
+            before = result.row_count
+            engine = idx.engine()
+            engine.execute(query).bitmap.words[:] = 0
+            assert engine.execute(query).row_count == before, codec
+            leaf_expr = idx.rewriter.rewrite_interval(query)
+            engine.evaluate_shared([leaf_expr], {}, EvalStats()).words[:] = 0
+            assert engine.execute(query).row_count == before, codec

@@ -1,6 +1,6 @@
 """Round-trip coverage for reordered indexes.
 
-Build with ``reorder="lexicographic"``, query through both engines,
+Build with ``reorder="lexicographic"``, query through the engine,
 persist, reload (copying and mapped stores), append, segment — at
 every boundary the answer's row-id set must equal both the unreordered
 build's and a naive scan's.  The permutation is the one piece of
@@ -12,7 +12,6 @@ just counts.
 import numpy as np
 import pytest
 
-from repro.compress import COMPRESSED_DOMAIN_CODECS
 from repro.encoding import ALL_SCHEME_NAMES
 from repro.errors import (
     ChecksumMismatchError,
@@ -20,7 +19,6 @@ from repro.errors import (
     TruncatedBlobError,
 )
 from repro.index import BitmapIndex, IndexSpec
-from repro.index.compressed_engine import CompressedQueryEngine
 from repro.index.persist import (
     PERMUTATION_NAME,
     load_index,
@@ -78,9 +76,6 @@ class TestEveryCodecAndScheme:
             expected = naive_ids(values, query)
             assert ids(plain.query(query).bitmap) == expected
             assert ids(reordered.query(query).bitmap) == expected
-            if codec in COMPRESSED_DOMAIN_CODECS:
-                engine = CompressedQueryEngine(reordered)
-                assert ids(engine.execute(query).bitmap) == expected
 
 
 class TestPersistence:
@@ -204,10 +199,6 @@ class TestAppendAfterReorder:
         merged = np.concatenate([values, batch])
         for query in queries():
             assert ids(index.query(query).bitmap) == naive_ids(merged, query)
-            engine = CompressedQueryEngine(index)
-            assert ids(engine.execute(query).bitmap) == naive_ids(
-                merged, query
-            )
 
 
 class TestSegmented:

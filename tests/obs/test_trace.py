@@ -1,5 +1,7 @@
 """Unit tests for spans and the tracer."""
 
+import threading
+
 import pytest
 
 from repro.obs import Tracer
@@ -121,3 +123,36 @@ class TestRetention:
         assert span["tags"] == {"scheme": "E"}
         assert span["metrics"] == {"pages": 2}
         assert span["duration_ms"] >= 0
+
+
+class TestThreads:
+    def test_each_thread_nests_under_its_own_root(self):
+        """Concurrent ``query`` -> ``fetch`` nests never cross threads."""
+        tracer = Tracer()
+        opened = threading.Barrier(2, timeout=10)
+        nested = threading.Barrier(2, timeout=10)
+
+        def client(name):
+            with tracer.span("query", client=name):
+                opened.wait()  # both roots open before either child
+                with tracer.span("fetch", client=name):
+                    tracer.attribute("pages", 1)
+                    nested.wait()  # both children open at once
+
+        threads = [
+            threading.Thread(target=client, args=(name,)) for name in "ab"
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+        roots = tracer.roots()
+        assert sorted(root.tags["client"] for root in roots) == ["a", "b"]
+        for root in roots:
+            assert root.name == "query"
+            assert [child.name for child in root.children] == ["fetch"]
+            assert root.children[0].tags == root.tags
+            assert root.metrics == {"pages": 1}
+        assert tracer.current is None

@@ -4,8 +4,8 @@ The adaptive codec's whole point is that one index holds bitmaps under
 *different* concrete encodings; both serving tiers must combine them
 transparently.  A skewed clustered column forces the selector to mix
 inner codecs (dense head values vs an ultra-sparse tail), and single
-plus sharded services are checked against the naive scan — decoded
-(fused) and compressed (threshold-capable) engines both.
+plus sharded services are checked against the naive scan, as are the
+materializing and fused evaluators on their own.
 """
 
 import numpy as np
@@ -13,8 +13,9 @@ import pytest
 
 from repro.bitmap import BitVector
 from repro.compress import split_payload
+from repro.expr import evaluate, evaluate_fused
+from repro.expr.fused import MIN_BLOCK_WORDS
 from repro.index import BitmapIndex, IndexSpec
-from repro.index.compressed_engine import CompressedQueryEngine
 from repro.queries import IntervalQuery, MembershipQuery, ThresholdQuery
 from repro.serve import (
     QueryService,
@@ -67,24 +68,21 @@ def test_index_actually_mixes_inner_codecs(auto_index):
     assert len(inners) >= 2, inners
 
 
-@pytest.mark.parametrize("engine", ["decoded", "compressed"])
-def test_single_service_auto(auto_index, column, engine):
-    config = ServiceConfig(engine=engine, buffer_pages=16, fused=True)
+def test_single_service_auto(auto_index, column):
+    config = ServiceConfig(buffer_pages=16)
     with QueryService(auto_index, config) as service:
         results = service.execute_many(QUERIES)
     for query, result in zip(QUERIES, results):
         assert result.bitmap == naive(query, column), query
 
 
-@pytest.mark.parametrize("engine", ["decoded", "compressed"])
-def test_sharded_service_auto(column, engine):
+def test_sharded_service_auto(column):
     spec = IndexSpec(cardinality=CARDINALITY, scheme="E", codec="auto")
     config = ShardedConfig(
         shards=3,
         transport="inline",
         segment_size=512,
         buffer_pages=16,
-        engine=engine,
     )
     with ShardedQueryService(column, spec, config) as service:
         results = service.execute_many(QUERIES)
@@ -92,7 +90,14 @@ def test_sharded_service_auto(column, engine):
         assert result.bitmap == naive(query, column), query
 
 
-def test_compressed_engine_direct_threshold(auto_index, column):
-    engine = CompressedQueryEngine(auto_index)
+def test_direct_threshold_both_evaluators(auto_index, column):
     query = QUERIES[3]
-    assert engine.execute(query).bitmap == naive(query, column)
+    expected = naive(query, column)
+    expr = auto_index.rewriter.rewrite_threshold(query)
+    length = auto_index.num_records
+    fetch = auto_index.store.get
+    assert evaluate(expr, fetch, length) == expected
+    assert evaluate_fused(
+        expr, fetch, length, block_words=MIN_BLOCK_WORDS
+    ) == expected
+    assert auto_index.engine().execute(query).bitmap == expected

@@ -1,6 +1,6 @@
 """Tests for :class:`repro.serve.QueryService`.
 
-Correctness against the naive scan under both engines, the cache fast
+Correctness against the naive scan on raw and compressed stores, the cache fast
 path, admission control (typed :class:`Overloaded`), deadlines (typed
 :class:`DeadlineExceeded`), close semantics and the obs mirror.  Tests
 that need a request to stay in flight hold the service's scan lock from
@@ -50,11 +50,9 @@ def sample_queries():
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize(
-        "engine,codec", [("decoded", "raw"), ("compressed", "wah")]
-    )
-    def test_execute_matches_naive_scan(self, values, engine, codec):
-        config = ServiceConfig(workers=2, engine=engine, buffer_pages=8)
+    @pytest.mark.parametrize("codec", ["raw", "wah"])
+    def test_execute_matches_naive_scan(self, values, codec):
+        config = ServiceConfig(workers=2, buffer_pages=8)
         with QueryService(make_index(values, codec), config) as service:
             for query in sample_queries():
                 result = service.execute(query)
@@ -62,11 +60,9 @@ class TestCorrectness:
                 assert result.bitmap == expected, query
                 assert result.row_count == int(query.matches(values).sum())
 
-    @pytest.mark.parametrize(
-        "engine,codec", [("decoded", "raw"), ("compressed", "wah")]
-    )
-    def test_execute_many_matches_naive_scan(self, values, engine, codec):
-        config = ServiceConfig(engine=engine, buffer_pages=8, max_batch=4)
+    @pytest.mark.parametrize("codec", ["raw", "wah"])
+    def test_execute_many_matches_naive_scan(self, values, codec):
+        config = ServiceConfig(buffer_pages=8, max_batch=4)
         queries = sample_queries() * 3
         with QueryService(make_index(values, codec), config) as service:
             results = service.execute_many(queries)
@@ -161,6 +157,29 @@ class TestResultCache:
             second = service.execute(query)
             assert second.cached
             assert second.bitmap == first.bitmap
+
+    def test_cached_answers_are_private_copies(self, values):
+        """Mutating a returned bitmap must not corrupt the result cache.
+
+        Regression: the miss path cached the very ``BitVector`` it
+        returned and every hit handed that same object out again, so
+        ``result.bitmap &= ...`` rewrote the cached answer.
+        """
+        query = IntervalQuery(2, 9, CARDINALITY)
+        expected = BitVector.from_bools(query.matches(values))
+        with QueryService(make_index(values)) as service:
+            first = service.execute(query)
+            first.bitmap &= BitVector.zeros(len(values))
+            second = service.execute(query)
+            assert second.cached
+            assert second.bitmap == expected
+            second.bitmap &= BitVector.zeros(len(values))
+            third = service.execute(query)
+            assert third.cached
+            assert third.bitmap == expected
+            (many,) = service.execute_many([query])
+            assert many.cached
+            assert many.bitmap == expected
 
     def test_cache_disabled(self, values):
         query = IntervalQuery(2, 9, CARDINALITY)
@@ -343,12 +362,17 @@ class TestConfig:
             {"max_queue": 0},
             {"workers": 0},
             {"max_batch": 0},
-            {"engine": "quantum"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ServeError):
             ServiceConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["engine", "fused"])
+    def test_no_engine_or_fused_setting(self, name):
+        """One engine: the planner, not the config, picks the plan."""
+        with pytest.raises(TypeError):
+            ServiceConfig(**{name: "auto"})
 
 
 class TestObservability:

@@ -147,9 +147,10 @@ class TestCorrectness:
             for query in sample_queries():
                 assert s.execute(query).bitmap == naive(query, values)
 
-    def test_compressed_engine_matches_naive_scan(self, values):
-        config = inline_config(engine="compressed")
-        with ShardedQueryService(values, make_spec("wah"), config) as s:
+    def test_compressed_codec_matches_naive_scan(self, values):
+        with ShardedQueryService(
+            values, make_spec("wah"), inline_config()
+        ) as s:
             for query in sample_queries():
                 assert s.execute(query).bitmap == naive(query, values)
 
@@ -173,7 +174,6 @@ class TestDifferential:
     def test_codec_scheme_matrix(self, rng, codec, scheme):
         values = rng.integers(0, 12, size=97)
         spec = IndexSpec(cardinality=12, scheme=scheme, codec=codec)
-        engine = "decoded" if codec == "raw" else "compressed"
         queries = [
             IntervalQuery(2, 7, 12),
             IntervalQuery(0, 11, 12),
@@ -184,11 +184,10 @@ class TestDifferential:
             transport="inline",
             segment_size=16,
             buffer_pages=8,
-            engine=engine,
         )
         with ShardedQueryService(values, spec, sharded_config) as sharded:
             sharded_results = sharded.execute_many(queries)
-        single_config = ServiceConfig(engine=engine, buffer_pages=8)
+        single_config = ServiceConfig(buffer_pages=8)
         index = BitmapIndex.build(values, spec)
         with QueryService(index, single_config) as single:
             single_results = single.execute_many(queries)
@@ -222,7 +221,6 @@ def test_sharded_differential_property(
     num_rows = max(2, shards * 24 + boundary_offset)
     values = rng.integers(0, 12, size=num_rows)
     spec = IndexSpec(cardinality=12, scheme=scheme, codec=codec)
-    engine = "decoded" if codec == "raw" else "compressed"
     low = int(rng.integers(0, 12))
     high = int(rng.integers(low, 12))
     queries = [
@@ -236,14 +234,11 @@ def test_sharded_differential_property(
         transport="inline",
         segment_size=16,
         buffer_pages=8,
-        engine=engine,
     )
     with ShardedQueryService(values, spec, config) as sharded:
         sharded_results = sharded.execute_many(queries)
     index = BitmapIndex.build(values, spec)
-    with QueryService(
-        index, ServiceConfig(engine=engine, buffer_pages=8)
-    ) as single:
+    with QueryService(index, ServiceConfig(buffer_pages=8)) as single:
         single_results = single.execute_many(queries)
     for query, ours, theirs in zip(queries, sharded_results, single_results):
         expected = naive(query, values)

@@ -109,10 +109,11 @@ class TestBoundaries:
         assert ours.bitmap == theirs.bitmap == naive(query, values)
 
     @pytest.mark.parametrize("codec", ["bbc", "wah", "ewah", "roaring"])
-    def test_compressed_engine_codecs(self, codec):
+    def test_compressed_codecs(self, codec):
         values = column(129)
-        config = inline_config(engine="compressed")
-        with ShardedQueryService(values, make_spec(codec), config) as s:
+        with ShardedQueryService(
+            values, make_spec(codec), inline_config()
+        ) as s:
             for query in sample_threshold_queries():
                 assert s.execute(query).bitmap == naive(query, values), (
                     codec,

@@ -55,13 +55,6 @@ def test_compression_study(capsys):
     assert "bbc" in out and "wah" in out
 
 
-def test_compressed_queries(capsys):
-    module = load_example("compressed_queries")
-    module.NUM_ROWS = 5_000
-    module.main()
-    assert "speedup" in capsys.readouterr().out
-
-
 def test_scientific_data(capsys):
     module = load_example("scientific_data")
     module.NUM_ROWS = 5_000
